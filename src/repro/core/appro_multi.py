@@ -28,7 +28,7 @@ from repro.core.auxiliary import (
     evaluate_combination,
     iter_combinations,
 )
-from repro.core.fasteval import AnySolution, make_evaluator
+from repro.core.fasteval import AnySolution, CSRCombinationEvaluator
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import InfeasibleRequestError
 from repro.network.sdn import SDNetwork
@@ -94,22 +94,21 @@ def _search(
 ) -> ApproMultiResult:
     """Enumerate combinations and keep the cheapest KMB tree.
 
-    Uses the memoized evaluator (:func:`make_evaluator` picks the
-    CSR-native flat core when the context carries a flat workspace, the
-    dict :class:`~repro.core.fasteval.CombinationEvaluator` otherwise —
-    bit-identical either way) in two passes: a cheap lower-bound pre-pass
-    (no trees computed), then full evaluation in *ascending bound order*
-    so the incumbent tightens as early as possible and prunes most full
-    evaluations.  The result is exactly that of :func:`_search_reference`
-    in every case, including cost ties: a combination is skipped only when
-    its admissible bound strictly exceeds the incumbent (it can then
-    neither beat nor tie the final answer), and among evaluated equal-cost
-    solutions the one earliest in the reference enumeration order wins —
-    the same lexicographic ``(cost, index)`` minimum the reference's
-    first-strict-improvement loop selects.  Only the evaluated/pruned
-    statistics may differ.
+    ``ctx`` must be cache-built (it carries the flat workspace).  Uses the
+    memoized CSR-native evaluator
+    (:class:`~repro.core.fasteval.CSRCombinationEvaluator`) in two passes:
+    a cheap lower-bound pre-pass (no trees computed), then full evaluation
+    in *ascending bound order* so the incumbent tightens as early as
+    possible and prunes most full evaluations.  The result is exactly that
+    of :func:`_search_reference` in every case, including cost ties: a
+    combination is skipped only when its admissible bound strictly exceeds
+    the incumbent (it can then neither beat nor tie the final answer), and
+    among evaluated equal-cost solutions the one earliest in the reference
+    enumeration order wins — the same lexicographic ``(cost, index)``
+    minimum the reference's first-strict-improvement loop selects.  Only
+    the evaluated/pruned statistics may differ.
     """
-    evaluator = make_evaluator(ctx)
+    evaluator = CSRCombinationEvaluator(ctx)
     with _obs_span("enumerate"):
         combinations = list(
             iter_combinations(ctx.candidate_servers, max_servers)

@@ -577,9 +577,10 @@ def _trees_match(tree, reference) -> bool:
     distribution edges in ``edges()`` order — while costs compare at
     relative 1e-12, matching ``tests/core/test_differential.py``: the seed
     reference engine accumulates edge weights in a different order than
-    the memoized evaluators, so costs can differ in the last ulp.  (The
-    CSR-native core is bit-exact against the *dict-backend* engine, dict
-    insertion order included; the widened differential holds that.)
+    the cached CSR-native engine, so costs can differ in the last ulp.  (On
+    one cached context the CSR-native core is bit-exact against the
+    ``evaluate_combination`` / ``_search_reference`` oracles, dict
+    insertion order included; the differential harness holds that.)
     """
     if (
         tree.servers != reference.servers
@@ -607,12 +608,12 @@ def run_appro_benchmark(
 ) -> Dict:
     """End-to-end ``Appro_Multi``: dict path vs the CSR-native core.
 
-    The dict path is :func:`repro.core.appro_multi_reference` under the
-    ``dict`` backend — dict ``Graph`` auxiliary construction, metric
-    closure, KMB, and MST on every server combination, exactly the seed
-    engine.  The CSR-native side is :func:`repro.core.appro_multi` under
-    the ``csr`` backend: one epoch-stamped compilation per request context,
-    the flat combination sweep, and dict decode only for the winner.
+    The dict path is :func:`repro.core.appro_multi_reference` — dict
+    ``Graph`` auxiliary construction, metric closure, KMB, and MST on every
+    server combination, exactly the seed engine.  The CSR-native side is
+    :func:`repro.core.appro_multi`: one epoch-stamped compilation per
+    request context, the flat combination sweep, and dict decode only for
+    the winner.
 
     Rounds are interleaved (dict batch, then CSR batch, per round) so both
     engines sample the same machine noise; each round rebuilds the network
@@ -622,51 +623,41 @@ def run_appro_benchmark(
     The result is merged into ``BENCH_csr.json`` under the ``"appro"`` key
     (the sweep cases under ``"cases"`` are preserved).
     """
-    from repro.graph.backend import graph_backend, set_graph_backend
-
     from repro.core import appro_multi, appro_multi_reference
 
     if quick:
         requests = min(requests, 12)
         rounds = min(rounds, 3)
 
-    previous = graph_backend()
     dict_best = csr_best = float("inf")
-    try:
-        for _ in range(rounds):
-            set_graph_backend("dict")
-            network, batch = _batch(requests, seed)
-            start = time.perf_counter()
-            for request in batch:
-                appro_multi_reference(network, request, max_servers=3)
-            dict_best = min(dict_best, time.perf_counter() - start)
-
-            set_graph_backend("csr")
-            network, batch = _batch(requests, seed)
-            start = time.perf_counter()
-            for request in batch:
-                appro_multi(network, request, max_servers=3)
-            csr_best = min(csr_best, time.perf_counter() - start)
-
-        # Identity outside the timed region: a fast wrong tree is no
-        # speedup.  Compare the CSR-native decode against the dict path.
-        set_graph_backend("dict")
+    for _ in range(rounds):
         network, batch = _batch(requests, seed)
-        dict_trees = [
+        start = time.perf_counter()
+        for request in batch:
             appro_multi_reference(network, request, max_servers=3)
-            for request in batch
-        ]
-        set_graph_backend("csr")
+        dict_best = min(dict_best, time.perf_counter() - start)
+
         network, batch = _batch(requests, seed)
-        mismatches = sum(
-            1
-            for request, reference in zip(batch, dict_trees)
-            if not _trees_match(
-                appro_multi(network, request, max_servers=3), reference
-            )
+        start = time.perf_counter()
+        for request in batch:
+            appro_multi(network, request, max_servers=3)
+        csr_best = min(csr_best, time.perf_counter() - start)
+
+    # Identity outside the timed region: a fast wrong tree is no speedup.
+    # Compare the CSR-native decode against the dict path.
+    network, batch = _batch(requests, seed)
+    dict_trees = [
+        appro_multi_reference(network, request, max_servers=3)
+        for request in batch
+    ]
+    network, batch = _batch(requests, seed)
+    mismatches = sum(
+        1
+        for request, reference in zip(batch, dict_trees)
+        if not _trees_match(
+            appro_multi(network, request, max_servers=3), reference
         )
-    finally:
-        set_graph_backend(previous)
+    )
 
     appro = {
         "topology": TOPOLOGY,

@@ -17,13 +17,6 @@ from repro.simulation.parallel import (
     parallel_map,
     set_default_workers,
 )
-from repro.simulation.trace import (
-    NULL_RECORDER,
-    NullTraceRecorder,
-    TraceEvent,
-    TraceRecorder,
-    record_online_run,
-)
 
 __all__ = [
     "run_offline",
@@ -37,9 +30,4 @@ __all__ = [
     "OfflineRunStats",
     "OnlineRunStats",
     "ResilienceRunStats",
-    "NULL_RECORDER",
-    "NullTraceRecorder",
-    "TraceEvent",
-    "TraceRecorder",
-    "record_online_run",
 ]

@@ -14,13 +14,16 @@ rewrite to the seed behaviour over a bank of seeded random instances:
 3. **Approximation bound** — on instances small enough for the exact
    Dreyfus–Wagner oracle, the returned cost is within the paper's ``2K``
    factor of the auxiliary-graph optimum (Theorem 1).
-4. **Backend identity** — the ``dict`` and ``csr`` values of
-   ``REPRO_GRAPH_BACKEND`` run the same cached engine over different
-   machinery (dict evaluator vs the CSR-native flat core); capacitated
-   ``appro_multi_cap`` request sequences and online admission series
-   (``Online_CP`` and ``Online_CP_K``) must agree **bitwise** — trees with
-   the same dict insertion order, the same float costs, the same
-   admit/reject verdicts in the same order.
+4. **Oracle identity** — the production CSR core against the dict
+   engines, which survive only as oracles: over capacitated
+   ``appro_multi_cap`` request sequences, ``_search`` (CSR-native
+   evaluator) and ``_search_reference`` (``evaluate_combination``) pick
+   the same tree on every cached context; online admission series
+   (``Online_CP`` and ``Online_CP_K``) equal the series run with every
+   shortest-path cache miss served by the dict
+   :func:`~repro.graph.shortest_paths.dijkstra`.  Agreement is **bitwise**
+   — trees with the same dict insertion order, the same float costs, the
+   same admit/reject verdicts in the same order.
 
 Every instance derives from an explicit seed, so a failure names the exact
 graph that broke and is replayable in isolation.
@@ -30,7 +33,7 @@ import pytest
 
 from repro.core import (
     VIRTUAL_SOURCE,
-    CombinationEvaluator,
+    CSRCombinationEvaluator,
     OnlineCP,
     OnlineCPK,
     appro_multi,
@@ -38,16 +41,18 @@ from repro.core import (
     appro_multi_detailed,
     appro_multi_reference,
     build_context,
+    evaluate_combination,
     explicit_auxiliary_graph,
     iter_combinations,
     optimal_auxiliary_cost,
     try_allocate,
 )
+from repro.core.appro_multi import _search, _search_reference
 from repro.exceptions import InfeasibleRequestError
 from repro.graph import (
-    graph_backend,
+    ShortestPathCache,
+    dijkstra,
     kmb_steiner_tree,
-    set_graph_backend,
     steiner_tree_cost,
 )
 from repro.network import build_sdn
@@ -144,7 +149,12 @@ class TestEngineIdentity:
 
 
 class TestConstructionIdentity:
-    """Cached evaluator ≡ KMB on the explicitly built auxiliary graph."""
+    """Cached evaluator ≡ KMB on the explicitly built auxiliary graph.
+
+    Per combination, the CSR-native evaluator must also equal the
+    ``evaluate_combination`` oracle on the same cached context bitwise:
+    cost float, used servers, and the tree's node and edge order.
+    """
 
     @pytest.mark.parametrize("seed", range(0, 50, 2))
     def test_per_combination_costs_match_explicit_graph(self, seed):
@@ -165,10 +175,13 @@ class TestConstructionIdentity:
             )
         except InfeasibleRequestError:
             return
-        evaluator = CombinationEvaluator(ctx)
+        evaluator = CSRCombinationEvaluator(ctx)
         terminals = [VIRTUAL_SOURCE] + list(ctx.destinations)
         for combination in iter_combinations(ctx.candidate_servers, 2):
             fast = evaluator.evaluate(combination)
+            assert solution_bits(fast) == solution_bits(
+                evaluate_combination(ctx, combination)
+            )
             aux = explicit_auxiliary_graph(ctx, combination)
             try:
                 reference = kmb_steiner_tree(aux, terminals)
@@ -181,14 +194,40 @@ class TestConstructionIdentity:
             )
 
 
-def run_under_backend(backend, fn):
-    """Run ``fn()`` with the graph backend forced to ``backend``."""
-    saved = graph_backend()
-    set_graph_backend(backend)
-    try:
-        return fn()
-    finally:
-        set_graph_backend(saved)
+def solution_bits(solution):
+    """A combination's answer, bitwise: cost, servers, tree order."""
+    if solution is None:
+        return None
+    return (
+        solution.cost,
+        solution.used_servers,
+        tuple(solution.tree.nodes()),
+        tuple(solution.tree.edges()),
+    )
+
+
+def _dict_tree(self, origin):
+    """``ShortestPathCache.tree`` with misses on the dict engine."""
+    if origin not in self._trees:
+        self._trees[origin] = dijkstra(self._graph, origin)
+    return self._trees[origin]
+
+
+def _dict_warm(self, origins):
+    """``ShortestPathCache.warm`` as a loop of dict-engine misses."""
+    for origin in origins:
+        self.tree(origin)
+
+
+@pytest.fixture
+def under_dict_dijkstra(monkeypatch):
+    """Run ``fn()`` with every cache miss served by the dict oracle."""
+    def run(fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(ShortestPathCache, "tree", _dict_tree)
+            patch.setattr(ShortestPathCache, "warm", _dict_warm)
+            return fn()
+    return run
 
 
 def tree_bits(tree):
@@ -210,7 +249,7 @@ def tree_bits(tree):
 
 
 class TestBackendIdentity:
-    """dict backend ≡ csr backend, bit for bit, over request *sequences*.
+    """Production CSR core ≡ dict oracles, bit for bit, over *sequences*.
 
     Sequences matter: each admitted request mutates residual capacities,
     so later requests exercise the epoch-keyed residual/weighted caches
@@ -222,27 +261,36 @@ class TestBackendIdentity:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_appro_multi_cap_sequence_bit_identical(self, seed):
-        def series():
-            network, request_seq = self._instance(seed)
-            out = []
-            for request in request_seq:
+        network, request_seq = self._instance(seed)
+        for request in request_seq:
+            try:
+                ctx = self._cap_context(network, request)
+            except InfeasibleRequestError:
+                with pytest.raises(InfeasibleRequestError):
+                    appro_multi_cap(network, request, max_servers=2)
+                continue
+            outcomes = []
+            for search in (_search, _search_reference):
                 try:
-                    tree = appro_multi_cap(network, request, max_servers=2)
+                    outcomes.append(
+                        tree_bits(search(ctx, request, 2).tree)
+                    )
                 except InfeasibleRequestError:
-                    out.append(None)
-                    continue
-                # commit the allocation so later requests see the
-                # depleted residuals (and a bumped network epoch)
-                transaction = try_allocate(network, tree)
-                out.append((tree_bits(tree), transaction is not None))
-            return out
-        assert run_under_backend("dict", series) == run_under_backend(
-            "csr", series
-        )
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0] is None:
+                continue
+            tree = appro_multi_cap(network, request, max_servers=2)
+            assert tree_bits(tree) == outcomes[0]
+            # commit the allocation so later requests see the depleted
+            # residuals (and a bumped network epoch)
+            try_allocate(network, tree)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", ["cp", "cpk"])
-    def test_online_admission_series_bit_identical(self, seed, kind):
+    def test_online_admission_series_bit_identical(
+        self, seed, kind, under_dict_dijkstra
+    ):
         def series():
             network, request_seq = self._instance(seed)
             if kind == "cp":
@@ -259,8 +307,26 @@ class TestBackendIdentity:
                     else tree_bits(decision.tree),
                 ))
             return out
-        assert run_under_backend("dict", series) == run_under_backend(
-            "csr", series
+        assert series() == under_dict_dijkstra(series)
+
+    @staticmethod
+    def _cap_context(network, request):
+        """The cached context ``appro_multi_cap`` searches for ``request``."""
+        cache = network.residual_path_cache(min_bandwidth=request.bandwidth)
+        eligible = network.feasible_servers(request.compute_demand)
+        if not eligible:
+            raise InfeasibleRequestError("no eligible server")
+        return build_context(
+            graph=cache.graph,
+            source=request.source,
+            destinations=sorted(request.destinations, key=repr),
+            servers=eligible,
+            chain_cost={
+                v: network.chain_cost(v, request.compute_demand)
+                for v in eligible
+            },
+            bandwidth=request.bandwidth,
+            cache=cache,
         )
 
     @staticmethod

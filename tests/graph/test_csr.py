@@ -10,8 +10,6 @@ heap traffic — where a non-replica heap would diverge — is the common case,
 not the rare one.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +22,7 @@ from repro.graph import (
     dijkstra,
     dijkstra_csr,
     dijkstra_many,
-    graph_backend,
-    set_graph_backend,
 )
-from repro.graph.backend import ENV_VAR
 
 
 @st.composite
@@ -300,54 +295,19 @@ def test_compile_rejects_negative_weights():
 
 
 # ---------------------------------------------------------------------------
-# backend selector
+# cache integration
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def clean_backend():
-    """Snapshot and restore the override + env var around a test."""
-    saved_env = os.environ.get(ENV_VAR)
-    yield
-    if saved_env is None:
-        set_graph_backend(None)
-    else:
-        set_graph_backend(saved_env)
-
-
-def test_backend_defaults_to_csr(clean_backend):
-    set_graph_backend(None)
-    assert graph_backend() == "csr"
-
-
-def test_backend_env_var_and_override(clean_backend):
-    set_graph_backend(None)
-    os.environ[ENV_VAR] = "dict"
-    assert graph_backend() == "dict"
-    set_graph_backend("csr")  # explicit override beats the env var
-    assert graph_backend() == "csr"
-    assert os.environ[ENV_VAR] == "csr"  # mirrored for worker processes
-
-
-def test_backend_rejects_unknown_names(clean_backend):
-    set_graph_backend(None)  # the env-var path is only read with no override
-    with pytest.raises(ValueError, match="unknown graph backend"):
-        set_graph_backend("sparse")
-    os.environ[ENV_VAR] = "sparse"
-    with pytest.raises(ValueError, match="unknown graph backend"):
-        graph_backend()
-
-
-def test_cache_trees_identical_under_both_backends(clean_backend):
-    """The cache integration point returns identical trees per backend."""
+def test_cache_trees_identical_under_both_backends():
+    """The cache serves the dict oracle's trees, lazily filled or warmed."""
     from repro.analysis.common import build_real_network
 
     graph = build_real_network("GEANT", 20170605).graph
-    set_graph_backend("dict")
-    dict_cache = ShortestPathCache(graph)
-    dict_trees = {origin: dict_cache.tree(origin) for origin in graph.nodes()}
-    set_graph_backend("csr")
-    csr_cache = ShortestPathCache(graph)
-    csr_cache.warm(graph.nodes())
+    lazy_cache = ShortestPathCache(graph)
+    warm_cache = ShortestPathCache(graph)
+    warm_cache.warm(graph.nodes())
     for origin in graph.nodes():
-        assert_trees_identical(dict_trees[origin], csr_cache.tree(origin))
+        expected = dijkstra(graph, origin)
+        assert_trees_identical(expected, lazy_cache.tree(origin))
+        assert_trees_identical(expected, warm_cache.tree(origin))
