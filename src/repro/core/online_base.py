@@ -3,7 +3,8 @@
 ``Online_CP`` and the ``SP`` baseline both consume a request stream against
 a shared capacitated :class:`SDNetwork` and must make irrevocable
 admit/reject decisions.  This module defines the decision record and the
-abstract base class the simulation engine drives.
+abstract base class the admission engine
+(:class:`~repro.stream.engine.StreamEngine`) drives.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 from repro.core.admission import release_tree, try_allocate
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import SimulationError
 from repro.network.allocation import AllocationTransaction
+from repro.network.controller import Controller, TableCapacityExceededError
 from repro.network.sdn import SDNetwork
 from repro.obs import inc as _obs_inc, span as _obs_span
 from repro.workload.request import MulticastRequest
@@ -59,34 +61,25 @@ class OnlineAlgorithm(abc.ABC):
     """Base class: owns the network, tracks admissions, exposes ``process``.
 
     Attributes:
-        retain_decisions: whether :meth:`process` appends every decision to
-            the :attr:`decisions` history (the default, used by the figure
-            replays and the trace tooling).  Long-running streams set this
-            to ``False`` so memory stays O(active requests); the
-            :attr:`admitted_count` / :attr:`rejected_count` totals are
-            maintained incrementally either way.
+        controller: the data plane admitted trees are programmed into,
+            bound by the admission engine that drives this algorithm
+            (``None``: no data plane).  A tree the controller's flow tables
+            cannot hold is evicted inside :meth:`process`, before the
+            decision is counted, so it is counted once: as a
+            ``TABLE_CAPACITY`` rejection.
     """
 
     def __init__(self, network: SDNetwork) -> None:
         self._network = network
-        self._decisions: List[OnlineDecision] = []
         self._active: Dict[Hashable, OnlineDecision] = {}
         self._admitted_total = 0
         self._rejected_total = 0
-        self.retain_decisions: bool = True
+        self.controller: Optional[Controller] = None
 
     @property
     def network(self) -> SDNetwork:
         """The capacitated network this algorithm allocates from."""
         return self._network
-
-    @property
-    def decisions(self) -> List[OnlineDecision]:
-        """Every retained decision made so far, in arrival order.
-
-        Empty when :attr:`retain_decisions` has been switched off.
-        """
-        return list(self._decisions)
 
     @property
     def decided_count(self) -> int:
@@ -109,7 +102,12 @@ class OnlineAlgorithm(abc.ABC):
         return len(self._active)
 
     def process(self, request: MulticastRequest) -> OnlineDecision:
-        """Decide on ``request``, reserving resources if admitted."""
+        """Decide on ``request``, reserving resources if admitted.
+
+        With a bound :attr:`controller`, an admitted tree is also installed;
+        if the flow tables cannot hold it, its reservation is released and
+        the decision becomes a ``TABLE_CAPACITY`` rejection.
+        """
         _obs_inc("online.decisions")
         with _obs_span("online_decide"):
             decision = self._decide(request)
@@ -118,6 +116,19 @@ class OnlineAlgorithm(abc.ABC):
                 raise SimulationError(
                     "an admitted decision must carry a tree and a transaction"
                 )
+            if self.controller is not None:
+                try:
+                    self.controller.install_tree(
+                        request.request_id,
+                        decision.tree.routing_hops(),
+                        list(decision.tree.servers),
+                    )
+                except TableCapacityExceededError:
+                    release_tree(decision.transaction)
+                    decision = self._reject(
+                        request, RejectReason.TABLE_CAPACITY
+                    )
+        if decision.admitted:
             self._active[request.request_id] = decision
             self._admitted_total += 1
             _obs_inc("online.admitted")
@@ -126,8 +137,6 @@ class OnlineAlgorithm(abc.ABC):
             _obs_inc("online.rejected")
             if decision.reason is not None:
                 _obs_inc(f"online.rejected.{decision.reason.value}")
-        if self.retain_decisions:
-            self._decisions.append(decision)
         return decision
 
     def depart(self, request_id: Hashable) -> None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.admission import try_allocate
 from repro.core.appro_multi import DEFAULT_MAX_SERVERS, appro_multi_cap
@@ -59,21 +59,25 @@ EdgeKey = Tuple[Node, Node]
 
 @dataclass
 class ActiveRequest:
-    """One admitted request's live state, as the resilience engine tracks it.
+    """One admitted request's live state, as the admission engine tracks it.
 
     Attributes:
         request: the admitted request.
-        tree: the currently installed pseudo-multicast tree.
+        tree: the currently installed pseudo-multicast tree (``None`` for
+            an admission restored from a stream checkpoint).
         transaction: the committed transaction holding its reservations.
         via_algorithm: whether the online algorithm still owns the
             transaction (initial admission) or the engine does (the request
             has been repaired and re-homed at least once).
+        record: the decoded checkpoint record of a restored admission,
+            which stands in for the tree when the next checkpoint is taken.
     """
 
     request: MulticastRequest
-    tree: PseudoMulticastTree
+    tree: Optional[PseudoMulticastTree]
     transaction: AllocationTransaction
     via_algorithm: bool
+    record: Optional[Dict[str, Any]] = None
 
     @property
     def request_id(self) -> Hashable:
@@ -315,6 +319,7 @@ class SubtreeGraft(RepairStrategy):
         """Attempt the incremental graft; ``None`` means fall back."""
         network = context.network
         tree = active.tree
+        assert tree is not None
         request = active.request
         down = set(network.failed_links())
 

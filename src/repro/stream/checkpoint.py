@@ -340,24 +340,18 @@ def restore_into(engine: StreamEngine, document: Dict[str, Any]) -> None:
 
     # Live admissions, replayed in admission order: reservations are
     # already reflected in the restored residuals, so each transaction
-    # is *adopted* (no allocation happens) and handed to the algorithm;
-    # controller rules are reinstalled from the recorded hops.
+    # is *adopted* (no allocation happens) and handed to the engine, which
+    # registers it with the algorithm and reinstalls the recorded hops.
     for encoded in document["active"]:
         record = _decode_active(encoded)
-        request = _decode_request(encoded["request"])
         transaction = AllocationTransaction.adopt(
             network,
             record["bandwidth_ops"],
             record["compute_ops"],
         )
-        engine.algorithm.adopt_admission(request, transaction)
-        if engine.controller is not None:
-            engine.controller.install_tree(
-                request.request_id,
-                list(record["hops"]),
-                list(record["servers"]),
-            )
-        engine.adopt_active(request.request_id, record)
+        engine.adopt_active(
+            _decode_request(encoded["request"]), transaction, record
+        )
 
     engine.restore_heap(
         {

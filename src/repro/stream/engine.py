@@ -1,9 +1,13 @@
-"""StreamEngine: fold an unbounded arrival stream in O(active) memory.
+"""StreamEngine: the one admission event loop.
 
-:func:`repro.simulation.run_online_with_departures` replays a
-*materialized*, pre-sorted event list; a production controller faces an
-endless arrival iterator whose departures are only known when each
-request is admitted.  :class:`StreamEngine` closes that gap:
+Every online run folds its events through this engine, with one method
+per event kind: :meth:`StreamEngine.handle_arrival` (the package's single
+``OnlineAlgorithm.process`` call site), :meth:`StreamEngine.handle_departure`
+and :meth:`StreamEngine.handle_failure`.  :meth:`StreamEngine.run` pulls
+arrivals from an endless :class:`~repro.stream.workloads.ArrivalStream`
+whose departures are only known at admission time; the runners in
+:mod:`repro.simulation.engine` feed materialized event lists through the
+same methods.  State stays bounded:
 
 - departures are scheduled in a priority queue (``heapq``) keyed by
   ``(departure time, admission order)`` and drained before each arrival,
@@ -14,12 +18,12 @@ request is admitted.  :class:`StreamEngine` closes that gap:
   O(1) memory — two runs produced the same decisions, in the same
   order, with the same costs, iff their digests match;
 - every arrival ticks an optional
-  :class:`~repro.obs.emitter.SnapshotEmitter`, exactly like the engine
-  runners, so delta telemetry streams out at the emitter's cadence;
+  :class:`~repro.obs.emitter.SnapshotEmitter`, so delta telemetry
+  streams out at the emitter's cadence;
 - every ``checkpoint_every`` arrivals the engine invokes a checkpoint
   sink (see :mod:`repro.stream.checkpoint`) and samples its own RSS, so
   a long run leaves both a resume point and a memory-flatness series
-  behind.
+  behind.  A live admission's checkpoint record is built only then.
 
 The engine never reads a wall clock: simulated time comes from the
 stream, and the decision sequence is a pure function of (network,
@@ -34,6 +38,7 @@ import heapq
 import os
 from collections import deque
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Deque,
@@ -44,8 +49,9 @@ from typing import (
     Tuple,
 )
 
-from repro.core.online_base import OnlineAlgorithm
+from repro.core.online_base import OnlineAlgorithm, OnlineDecision
 from repro.exceptions import SimulationError
+from repro.network.allocation import AllocationTransaction
 from repro.network.controller import Controller
 from repro.obs import (
     DEFAULT_COST_BOUNDS as _COST_BOUNDS,
@@ -58,8 +64,15 @@ from repro.obs import (
 )
 from repro.obs.emitter import SnapshotEmitter
 from repro.obs.window import FixedBucketHistogram
-from repro.simulation.engine import _install_admitted
+from repro.resilience.events import FailureEvent, apply_event
+from repro.resilience.impact import affected_request_ids, classify_impact
+from repro.resilience.repair import ActiveRequest, RepairContext, RepairStrategy
 from repro.stream.workloads import Arrival, ArrivalStream
+from repro.workload.request import MulticastRequest
+
+if TYPE_CHECKING:
+    from repro.core.pseudo_tree import PseudoMulticastTree
+    from repro.simulation.metrics import ResilienceRunStats
 
 __all__ = ["StreamEngine", "StreamStats", "sample_rss_kb"]
 
@@ -219,17 +232,62 @@ class StreamStats:
         )
 
 
+
+
+def _checkpoint_record(
+    active: ActiveRequest, departs_at: Optional[float]
+) -> Dict[str, Any]:
+    """The JSON shape of one live admission (checkpoint payload)."""
+    if active.record is not None:
+        return active.record
+    tree = active.tree
+    assert tree is not None
+    request = active.request
+    return {
+        "request": {
+            "request_id": request.request_id,
+            "source": request.source,
+            "destinations": sorted(request.destinations, key=repr),
+            "bandwidth": request.bandwidth,
+            "chain": [kind.value for kind in request.chain.kinds],
+        },
+        "departs_at": departs_at,
+        "bandwidth_ops": [
+            [u, v, amount]
+            for u, v, amount in active.transaction.bandwidth_reservations
+        ],
+        "compute_ops": [
+            [node, amount]
+            for node, amount in active.transaction.compute_reservations
+        ],
+        "hops": [[u, v] for u, v in tree.routing_hops()],
+        "servers": list(tree.servers),
+    }
+
+
+def _touches_failure(
+    tree: PseudoMulticastTree, down_links: set, down_servers: set
+) -> bool:
+    """Whether a live tree uses any currently failed link or server."""
+    if down_servers and any(s in down_servers for s in tree.servers):
+        return True
+    if not down_links:
+        return False
+    return any(key in down_links for key in tree.edge_usage())
+
+
 class StreamEngine:
-    """Drives an online algorithm over an :class:`ArrivalStream`.
+    """Drives an online algorithm over arrivals, departures and failures.
 
     Args:
-        algorithm: the online admission algorithm (its
-            ``retain_decisions`` flag is switched off — an unbounded
-            stream cannot afford the decision history).
-        stream: the arrival source.
+        algorithm: the online admission algorithm; the engine binds
+            ``controller`` to it, so admitted trees are installed (or
+            evicted) inside its ``process``.
+        stream: the arrival source :meth:`run` pulls from (an empty
+            :class:`~repro.stream.workloads.SequenceStream` when the
+            caller feeds events itself).
         controller: optional data plane; admitted trees are installed
-            and departing requests uninstalled, exactly as in
-            :func:`repro.simulation.run_online_with_departures`.
+            and departing requests uninstalled.
         emitter: optional snapshot emitter, ticked once per arrival.
         checkpoint_every: invoke ``checkpoint_sink`` (and sample RSS)
             after every this-many arrivals (``None`` disables both).
@@ -264,14 +322,12 @@ class StreamEngine:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_sink = checkpoint_sink
         self.stats = StreamStats()
-        algorithm.retain_decisions = False
+        algorithm.controller = controller
         #: (departure time, admission seq, request id) min-heap.
         self._heap: List[Tuple[float, int, Hashable]] = []
         self._heap_seq = 0
-        #: request id -> serialized install record (see _active_record):
-        #: everything a checkpoint needs to rebuild the admission, kept
-        #: engine-side because restored admissions have no tree object.
-        self._active: Dict[Hashable, Dict[str, Any]] = {}
+        #: request id -> live admission, in admission order.
+        self._active: Dict[Hashable, ActiveRequest] = {}
         self._since_checkpoint = 0
 
     # -- introspection ---------------------------------------------------
@@ -285,74 +341,35 @@ class StreamEngine:
         """Scheduled departures not yet drained."""
         return len(self._heap)
 
+    def active_trees(self) -> List[Optional[PseudoMulticastTree]]:
+        """The trees of the live admissions, in admission order (``None``
+        for an admission restored from a checkpoint)."""
+        return [active.tree for active in self._active.values()]
+
     # -- event processing ------------------------------------------------
-    def _drain_departures(self, up_to: float) -> None:
-        """Release every admitted request departing at or before ``up_to``."""
-        heap = self._heap
-        while heap and heap[0][0] <= up_to:
-            when, _, request_id = heapq.heappop(heap)
-            record = self._active.pop(request_id, None)
-            if record is None:
-                continue
-            _obs_inc("engine.departures")
-            with _obs_request(request_id):
-                self.algorithm.depart(request_id)
-                if self.controller is not None:
-                    self.controller.uninstall(request_id)
-                _obs_instant("engine.depart")
-            self.stats.departed += 1
-            if when > self.stats.last_time:
-                self.stats.last_time = when
+    def handle_arrival(self, arrival: Arrival) -> OnlineDecision:
+        """Decide one arrival and fold the decision into the engine state.
 
-    def _active_record(self, arrival: Arrival, decision) -> Dict[str, Any]:
-        """The JSON shape of one live admission (checkpoint payload)."""
-        transaction = decision.transaction
-        tree = decision.tree
+        Departures due by ``arrival.time`` are *not* drained here (see
+        :meth:`process_one`).
+        """
         request = arrival.request
-        return {
-            "request": {
-                "request_id": request.request_id,
-                "source": request.source,
-                "destinations": sorted(request.destinations, key=repr),
-                "bandwidth": request.bandwidth,
-                "chain": [kind.value for kind in request.chain.kinds],
-            },
-            "departs_at": (
-                arrival.time + arrival.holding_time
-                if arrival.holding_time is not None
-                else None
-            ),
-            "bandwidth_ops": [
-                [u, v, amount]
-                for u, v, amount in transaction.bandwidth_reservations
-            ],
-            "compute_ops": [
-                [node, amount]
-                for node, amount in transaction.compute_reservations
-            ],
-            "hops": [[u, v] for u, v in tree.routing_hops()],
-            "servers": list(tree.servers),
-        }
-
-    def process_one(self, arrival: Arrival) -> bool:
-        """Process one arrival (departures first); returns admitted."""
-        self._drain_departures(arrival.time)
-        request = arrival.request
-        with _obs_request(request.request_id):
+        request_id = request.request_id
+        with _obs_request(request_id):
             decision = self.algorithm.process(request)
-            if decision.admitted and self.controller is not None:
-                _install_admitted(self.algorithm, self.controller, decision)
             if decision.admitted:
                 assert decision.tree is not None
+                assert decision.transaction is not None
                 cost = decision.tree.total_cost
                 if _obs_enabled():
                     _obs_hist("engine.tree_cost", cost, _COST_BOUNDS)
                 _obs_instant("engine.admit", cost=cost)
-                self.stats.record_decision(
-                    request.request_id, True, None, cost
-                )
-                self._active[request.request_id] = self._active_record(
-                    arrival, decision
+                self.stats.record_decision(request_id, True, None, cost)
+                self._active[request_id] = ActiveRequest(
+                    request=request,
+                    tree=decision.tree,
+                    transaction=decision.transaction,
+                    via_algorithm=True,
                 )
                 if arrival.holding_time is not None:
                     heapq.heappush(
@@ -360,7 +377,7 @@ class StreamEngine:
                         (
                             arrival.time + arrival.holding_time,
                             self._heap_seq,
-                            request.request_id,
+                            request_id,
                         ),
                     )
                     self._heap_seq += 1
@@ -373,14 +390,109 @@ class StreamEngine:
                     else None
                 )
                 _obs_instant("engine.reject", reason=reason)
-                self.stats.record_decision(
-                    request.request_id, False, reason, None
-                )
+                self.stats.record_decision(request_id, False, reason, None)
         if arrival.time > self.stats.last_time:
             self.stats.last_time = arrival.time
         if self.emitter is not None:
             self.emitter.tick()
-        return decision.admitted
+        return decision
+
+    def handle_departure(self, request_id: Hashable, when: float) -> bool:
+        """Release a live admission at ``when``; False if it holds nothing
+        (it was rejected, already departed, or dropped by a failure)."""
+        active = self._active.pop(request_id, None)
+        if active is None:
+            return False
+        _obs_inc("engine.departures")
+        with _obs_request(request_id):
+            if active.via_algorithm:
+                self.algorithm.depart(request_id)
+            else:
+                active.transaction.release_all()
+            if self.controller is not None:
+                self.controller.uninstall(request_id)
+            _obs_instant("engine.depart")
+        self.stats.departed += 1
+        if when > self.stats.last_time:
+            self.stats.last_time = when
+        return True
+
+    def handle_failure(
+        self,
+        event: FailureEvent,
+        strategy: RepairStrategy,
+        stats: ResilienceRunStats,
+    ) -> List[ActiveRequest]:
+        """Apply one failure/recovery and repair the requests it breaks.
+
+        Failure, repair and recovery counts go to ``stats``; returns the
+        live admissions the strategy dropped (they hold nothing any more).
+        """
+        network = self.algorithm.network
+        changed = apply_event(network, event)
+        if event.up:
+            if changed:
+                stats.recoveries += 1
+                _obs_inc("engine.recoveries")
+            return []
+        if not changed:
+            return []
+        stats.failures += 1
+        _obs_inc("engine.failures")
+        context = RepairContext(
+            network=network,
+            controller=self.controller,
+            algorithm=self.algorithm,
+        )
+        active = self._active
+        dropped: List[ActiveRequest] = []
+        with _obs_span("failure_repair"):
+            if self.controller is not None:
+                candidates = [
+                    rid
+                    for rid in affected_request_ids(self.controller, network)
+                    if rid in active
+                ]
+            else:
+                down_links = set(network.failed_links())
+                down_servers = set(network.failed_servers())
+                candidates = [
+                    rid
+                    for rid, record in active.items()
+                    if record.tree is not None
+                    and _touches_failure(record.tree, down_links, down_servers)
+                ]
+            for rid in candidates:
+                tree = active[rid].tree
+                assert tree is not None, "a restored admission has no tree"
+                impact = classify_impact(network, tree)
+                if not impact.broken:
+                    continue
+                stats.broken_requests += 1
+                _obs_inc("engine.broken_requests")
+                record = active.pop(rid)
+                with _obs_request(rid):
+                    result = strategy.repair(context, record, impact)
+                    _obs_instant("engine.repair", action=result.action.value)
+                stats.record_repair(result.action.value)
+                if result.active is not None:
+                    active[rid] = result.active
+                    stats.repair_costs.append(result.repair_cost)
+                else:
+                    dropped.append(record)
+        return dropped
+
+    def _drain_departures(self, up_to: float) -> None:
+        """Release every admitted request departing at or before ``up_to``."""
+        heap = self._heap
+        while heap and heap[0][0] <= up_to:
+            when, _, request_id = heapq.heappop(heap)
+            self.handle_departure(request_id, when)
+
+    def process_one(self, arrival: Arrival) -> bool:
+        """Process one arrival (departures first); returns admitted."""
+        self._drain_departures(arrival.time)
+        return self.handle_arrival(arrival).admitted
 
     def run(
         self,
@@ -442,15 +554,44 @@ class StreamEngine:
 
     def active_records(self) -> Dict[Hashable, Dict[str, Any]]:
         """Live admission records, keyed by request id (insertion order
-        is admission order — the restore layer replays them in order)."""
-        return dict(self._active)
+        is admission order — the restore layer replays them in order).
+
+        Built here, at checkpoint time, from the live admissions: the
+        departure time comes from the heap (``None`` for a request that
+        leaves on an explicit departure event).
+        """
+        departs = {rid: when for when, _, rid in self._heap}
+        return {
+            rid: _checkpoint_record(active, departs.get(rid))
+            for rid, active in self._active.items()
+        }
 
     def adopt_active(
-        self, request_id: Hashable, record: Dict[str, Any]
+        self,
+        request: MulticastRequest,
+        transaction: AllocationTransaction,
+        record: Dict[str, Any],
     ) -> None:
-        """Re-register one restored admission record (restore layer)."""
+        """Re-register one restored admission (restore layer).
+
+        The algorithm adopts ``transaction``, the controller (if any)
+        reinstalls the recorded hops, and the decoded ``record`` is kept
+        as the request's checkpoint record.
+        """
+        request_id = request.request_id
         if request_id in self._active:
             raise SimulationError(
                 f"request {request_id!r} is already active"
             )
-        self._active[request_id] = record
+        self.algorithm.adopt_admission(request, transaction)
+        if self.controller is not None:
+            self.controller.install_tree(
+                request_id, list(record["hops"]), list(record["servers"])
+            )
+        self._active[request_id] = ActiveRequest(
+            request=request,
+            tree=None,
+            transaction=transaction,
+            via_algorithm=True,
+            record=record,
+        )

@@ -86,10 +86,3 @@ class TestContract:
         algorithm.depart(request.request_id)
         with pytest.raises(SimulationError):
             algorithm.depart(request.request_id)
-
-    def test_decisions_are_copies(self, small_network, request_batch):
-        algorithm = _ScriptedAlgorithm(small_network, lambda r: None)
-        algorithm.process(request_batch[0])
-        snapshot = algorithm.decisions
-        snapshot.clear()
-        assert len(algorithm.decisions) == 1

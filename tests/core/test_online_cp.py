@@ -76,11 +76,13 @@ class TestAdmission:
         with pytest.raises(SimulationError):
             algorithm.depart(404)
 
-    def test_decisions_recorded_in_order(self, small_network, request_batch):
+    def test_decided_count_covers_every_request(
+        self, small_network, request_batch
+    ):
         algorithm = OnlineCP(small_network)
         for request in request_batch[:4]:
             algorithm.process(request)
-        assert len(algorithm.decisions) == 4
+        assert algorithm.decided_count == 4
         assert (
             algorithm.admitted_count + algorithm.rejected_count == 4
         )

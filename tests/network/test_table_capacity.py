@@ -1,11 +1,15 @@
 """Unit tests for flow-table capacity constraints."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.online_base import RejectReason
-from repro.core import SPOnline
+from repro.core import OnlineCP, SPOnline
 from repro.network import Controller, TableCapacityExceededError, build_sdn
 from repro.simulation import run_online, run_sequential_capacitated
+from repro.stream import SequenceStream, StreamEngine
 from repro.topology import gt_itm_flat
 from repro.workload import generate_workload
 
@@ -96,3 +100,77 @@ class TestEngineIntegration:
         )
         assert stats.solved == len(controller.installed_requests)
         assert stats.solved + stats.infeasible == len(requests)
+
+
+ACCOUNTING_GRAPH = gt_itm_flat(30, seed=5)
+
+accounting_cases = dict(
+    algorithm_cls=st.sampled_from([SPOnline, OnlineCP]),
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    seed=st.integers(min_value=0, max_value=40),
+)
+
+
+def _setup_accounting(algorithm_cls, seed):
+    network = build_sdn(ACCOUNTING_GRAPH, seed=seed)
+    requests = generate_workload(
+        ACCOUNTING_GRAPH, 25, dmax_ratio=0.2, seed=seed + 1
+    )
+    return algorithm_cls(network), requests
+
+
+def _assert_tallies_agree(algorithm, admitted, rejected, evicted, counters):
+    """Algorithm totals, run stats and ``online.*`` counters tell one story."""
+    assert algorithm.admitted_count == admitted
+    assert algorithm.rejected_count == rejected
+    assert counters.get("online.admitted", 0.0) == admitted
+    assert counters.get("online.rejected", 0.0) == rejected
+    assert (
+        counters.get("online.admitted", 0.0)
+        + counters.get("online.rejected", 0.0)
+        == counters["online.decisions"]
+    )
+    assert counters.get("online.rejected.table_capacity", 0.0) == evicted
+
+
+class TestEvictionAccounting:
+    """An evicted admission is counted once, as a TABLE_CAPACITY rejection."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(**accounting_cases)
+    def test_run_online(self, algorithm_cls, capacity, seed):
+        obs.enable()
+        algorithm, requests = _setup_accounting(algorithm_cls, seed)
+        controller = Controller(table_capacity=capacity)
+        stats = run_online(algorithm, requests, controller=controller)
+        _assert_tallies_agree(
+            algorithm,
+            stats.admitted,
+            stats.rejected,
+            stats.reject_reasons.get(RejectReason.TABLE_CAPACITY, 0),
+            stats.telemetry,
+        )
+        assert len(controller.installed_requests) == stats.admitted
+
+    @settings(max_examples=12, deadline=None)
+    @given(**accounting_cases)
+    def test_stream_engine(self, algorithm_cls, capacity, seed):
+        obs.enable()
+        algorithm, requests = _setup_accounting(algorithm_cls, seed)
+        controller = Controller(table_capacity=capacity)
+        # Departures free table slots, so later arrivals fit again.
+        engine = StreamEngine(
+            algorithm,
+            SequenceStream(requests, holding_time=3.0),
+            controller=controller,
+        )
+        before = obs.counters()
+        stats = engine.run()
+        _assert_tallies_agree(
+            algorithm,
+            stats.admitted,
+            stats.rejected,
+            stats.rejections.get(RejectReason.TABLE_CAPACITY.value, 0),
+            obs.counters_since(before),
+        )
+        assert len(controller.installed_requests) == engine.active_count

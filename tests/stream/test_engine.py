@@ -13,6 +13,7 @@ from repro.workload import (
     WorkloadConfig,
     poisson_process,
 )
+from repro.workload.arrivals import EventKind
 
 SEED = 31
 
@@ -34,10 +35,19 @@ def fresh_engine(graph, limit=200, arrival_rate=3.0, controller=False):
     )
 
 
+CONTROLLERS = {
+    "no-controller": lambda: None,
+    "controller": Controller,
+    "table-capacity-2": lambda: Controller(table_capacity=2),
+}
+
+
 class TestRunnerEquivalence:
     """The engine replays the sorted-event-list semantics exactly."""
 
-    def test_matches_run_online_with_departures(self, graph):
+    @pytest.mark.parametrize("make_controller", CONTROLLERS.values(),
+                             ids=CONTROLLERS.keys())
+    def test_matches_run_online_with_departures(self, graph, make_controller):
         # Materialized side: the classic event list.
         bodies = list(
             RequestGenerator(graph, WorkloadConfig(seed=SEED)).generate(150)
@@ -45,22 +55,59 @@ class TestRunnerEquivalence:
         events = poisson_process(
             bodies, arrival_rate=3.0, mean_holding_time=40.0, seed=SEED + 1
         )
-        reference_network = build_sdn(graph, seed=SEED)
-        reference = OnlineCP(reference_network)
-        stats = run_online_with_departures(reference, events)
+        last_arrival = max(
+            index for index, event in enumerate(events)
+            if event.kind is EventKind.ARRIVAL
+        )
+
+        def reference(event_list):
+            network = build_sdn(graph, seed=SEED)
+            controller = make_controller()
+            stats = run_online_with_departures(
+                OnlineCP(network), event_list, controller=controller
+            )
+            return stats, network, controller
 
         # Streaming side: same draws, nothing materialized.  make_stream
         # seeds bodies with `seed` and timing with `seed + 1`, mirroring
         # the two RNGs above.
-        engine = fresh_engine(graph, limit=150, arrival_rate=3.0)
-        engine.run(drain=True)
+        network = build_sdn(graph, seed=SEED)
+        controller = make_controller()
+        engine = StreamEngine(
+            OnlineCP(network),
+            make_stream(
+                "poisson", graph, seed=SEED, limit=150, arrival_rate=3.0
+            ),
+            controller=controller,
+        )
 
+        # After the last arrival: same decisions, residuals and rules.
+        stats, ref_network, ref_controller = reference(
+            events[: last_arrival + 1]
+        )
+        engine.run()
         assert engine.stats.admitted == stats.admitted
         assert engine.stats.rejected == stats.rejected
+        assert engine.stats.rejections == {
+            reason.value: count
+            for reason, count in stats.reject_reasons.items()
+        }
+        assert network.snapshot() == ref_network.snapshot()
+        if controller is not None:
+            assert (
+                controller.installed_requests
+                == ref_controller.installed_requests
+            )
+            assert controller.total_rules() == ref_controller.total_rules()
+
+        # After every departure: everything released on both sides.
+        stats, ref_network, ref_controller = reference(events)
+        engine.run(drain=True)
         assert engine.stats.departed == stats.admitted  # all drained
-        assert engine.algorithm.network.snapshot() == (
-            reference_network.snapshot()
-        )
+        assert network.snapshot() == ref_network.snapshot()
+        if controller is not None:
+            assert controller.installed_requests == []
+            assert ref_controller.installed_requests == []
 
     def test_controller_tables_track_active_set(self, graph):
         engine = fresh_engine(graph, limit=120, controller=True)
@@ -74,9 +121,8 @@ class TestRunnerEquivalence:
 class TestBoundedMemory:
     def test_no_decision_history_is_retained(self, graph):
         engine = fresh_engine(graph, limit=100)
-        assert engine.algorithm.retain_decisions is False
         engine.run()
-        assert engine.algorithm.decisions == []
+        assert not hasattr(engine.algorithm, "decisions")
         assert engine.algorithm.decided_count == 100
 
     def test_active_set_tracks_churn_not_stream_length(self, graph):
