@@ -10,52 +10,34 @@ bit-identical trees (dict insertion order included).
 The dict path is ``appro_multi_reference``: the seed engine, kept as a
 test oracle, that round-trips through dict ``Graph`` objects for
 auxiliary-graph construction, metric closure, KMB, and MST on every server
-combination.  Timing is best-of-rounds with the two engines interleaved
-inside each round, cold caches per round; tree identity is verified outside
-the timed region.  Results merge into ``BENCH_csr.json`` under ``"appro"``,
-next to the raw Dijkstra sweep cases.
+combination.  The measurement and the gate are the ``appro`` target of
+``repro.obs.bench``; results merge into ``BENCH_csr.json`` under
+``"appro"``, next to the raw Dijkstra sweep cases.
 
-Run as a module for the JSON artifact without pytest::
+Run as a script for the artifact and a PASS/FAIL exit status::
 
     PYTHONPATH=src python benchmarks/test_appro_csr.py
 """
 
-import json
 import os
+import sys
 
-from repro.obs.bench import MIN_APPRO_SPEEDUP, run_appro_benchmark
+from repro.obs.bench import TARGETS, report, run
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-RESULT_PATH = os.path.join(_HERE, "..", "BENCH_csr.json")
+RESULT_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_csr.json"
+)
 
 
 def run_benchmark():
-    """Time both engines end to end and merge the artifact."""
-    return run_appro_benchmark(output_path=RESULT_PATH)
+    """Time both engines end to end and merge the artifact section."""
+    return run("appro", RESULT_PATH)
 
 
 def test_appro_csr_speedup():
-    payload = run_benchmark()
-    print()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    assert payload["tree_mismatches"] == 0, (
-        "CSR-native Appro_Multi trees diverged from the dict path"
-    )
-    assert payload["speedup"] >= MIN_APPRO_SPEEDUP, (
-        f"CSR-native core only {payload['speedup']:.2f}x faster than the "
-        f"dict path (need >= {MIN_APPRO_SPEEDUP}x); see BENCH_csr.json"
-    )
+    failures = TARGETS["appro"].gate(run_benchmark())
+    assert not failures, f"{failures}; see BENCH_csr.json"
 
 
 if __name__ == "__main__":
-    result = run_benchmark()
-    print(json.dumps(result, indent=2, sort_keys=True))
-    clean = result["tree_mismatches"] == 0
-    status = (
-        "PASS" if result["speedup"] >= MIN_APPRO_SPEEDUP and clean else "FAIL"
-    )
-    print(
-        f"{status}: {result['speedup']:.2f}x "
-        f"(need >= {MIN_APPRO_SPEEDUP}x, mismatches "
-        f"{result['tree_mismatches']})"
-    )
+    sys.exit(report("appro", run_benchmark()))

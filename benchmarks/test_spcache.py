@@ -5,112 +5,34 @@ topology reuses Dijkstra trees across combinations and requests, so the
 cached engine (``appro_multi``) must beat the seed engine
 (``appro_multi_reference`` — explicit scaled copy, fresh Dijkstra per
 origin, every combination evaluated from scratch) by **at least 3×** on the
-GÉANT batch below.  Results land in ``BENCH_spcache.json`` next to this
-file, so the speedup is recorded, not just asserted.
+GÉANT batch.  The measurement and the gate are the ``spcache`` target of
+``repro.obs.bench``; results land in ``BENCH_spcache.json`` at the repo
+root, so the speedup is recorded, not just asserted.
 
-Timing uses best-of-``ROUNDS`` per engine: the minimum is the standard
-robust estimator for "how fast can this code go" under scheduler noise.
-
-Run as a module for the JSON artifact without pytest::
+Run as a script for the artifact and a PASS/FAIL exit status::
 
     PYTHONPATH=src python benchmarks/test_spcache.py
 """
 
-import json
 import os
-import time
+import sys
 
-from repro.analysis.common import build_real_network, make_requests
-from repro.core import appro_multi, appro_multi_reference
+from repro.obs.bench import TARGETS, report, run
 
-#: Batch size: enough requests that tree reuse across requests matters.
-REQUESTS = 40
-
-#: Timing rounds per engine; the minimum round is reported.
-ROUNDS = 3
-
-#: Required speedup of the cached engine over the seed engine.
-MIN_SPEEDUP = 3.0
-
-SEED = 20170605  # ICDCS 2017
-
-_HERE = os.path.dirname(os.path.abspath(__file__))
-RESULT_PATH = os.path.join(_HERE, "..", "BENCH_spcache.json")
-
-
-def _batch():
-    network = build_real_network("GEANT", SEED)
-    requests = make_requests(network.graph, REQUESTS, 0.2, SEED + 1)
-    return network, requests
-
-
-def _time_engine(solver, network, requests):
-    """Best-of-ROUNDS wall time for solving the whole batch, plus costs."""
-    best = float("inf")
-    costs = []
-    for _ in range(ROUNDS):
-        round_costs = []
-        start = time.perf_counter()
-        for request in requests:
-            tree = solver(network, request, max_servers=3)
-            round_costs.append(tree.total_cost)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        costs = round_costs
-    return best, costs
+RESULT_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_spcache.json"
+)
 
 
 def run_benchmark():
-    """Time both engines, check identity + speedup, write the artifact."""
-    network, requests = _batch()
-    reference_time, reference_costs = _time_engine(
-        appro_multi_reference, network, requests
-    )
-    cached_time, cached_costs = _time_engine(appro_multi, network, requests)
-
-    # Identity first: a fast wrong answer is not a speedup.
-    mismatches = sum(
-        1
-        for a, b in zip(cached_costs, reference_costs)
-        if abs(a - b) > 1e-9 * max(abs(a), abs(b), 1.0)
-    )
-    speedup = reference_time / cached_time if cached_time > 0 else float("inf")
-    payload = {
-        "topology": "GEANT",
-        "requests": REQUESTS,
-        "max_servers": 3,
-        "seed": SEED,
-        "rounds": ROUNDS,
-        "timing": "best-of-rounds, whole batch, seconds",
-        "reference_seconds": reference_time,
-        "cached_seconds": cached_time,
-        "speedup": speedup,
-        "min_speedup_required": MIN_SPEEDUP,
-        "cost_mismatches": mismatches,
-    }
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
+    """Time both engines, write the artifact, return the payload."""
+    return run("spcache", RESULT_PATH)
 
 
 def test_spcache_speedup():
-    payload = run_benchmark()
-    print()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    assert payload["cost_mismatches"] == 0
-    assert payload["speedup"] >= MIN_SPEEDUP, (
-        f"cached engine only {payload['speedup']:.2f}x faster than the seed "
-        f"engine (need >= {MIN_SPEEDUP}x); see BENCH_spcache.json"
-    )
+    failures = TARGETS["spcache"].gate(run_benchmark())
+    assert not failures, f"{failures}; see BENCH_spcache.json"
 
 
 if __name__ == "__main__":
-    result = run_benchmark()
-    print(json.dumps(result, indent=2, sort_keys=True))
-    status = (
-        "PASS"
-        if result["speedup"] >= MIN_SPEEDUP and result["cost_mismatches"] == 0
-        else "FAIL"
-    )
-    print(f"{status}: {result['speedup']:.2f}x (need >= {MIN_SPEEDUP}x)")
+    sys.exit(report("spcache", run_benchmark()))

@@ -20,13 +20,8 @@ from typing import Tuple
 
 from repro.exceptions import ExperimentError
 
-#: Calibration used by the online figure drivers.  The paper's competitive
-#: analysis sets α = β = 2|V|, but with the σ = |V|−1 thresholds that
-#: setting rejects aggressively long before saturation (the worst-case
-#: guarantee costs real throughput); a gentler base keeps the congestion
-#: pricing while letting the thresholds act only near saturation.  The
-#: ablation benchmark sweeps this choice.
-ONLINE_ALPHA_BETA = 8.0
+# Re-exported: the calibration lives with the builders that apply it.
+from repro.simulation.builders import ONLINE_ALPHA_BETA
 
 
 @dataclass(frozen=True)

@@ -59,44 +59,56 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--size", type=int, default=50, help="network size")
     demo.add_argument("--seed", type=int, default=7, help="RNG seed")
 
+    from repro.obs.bench import TARGETS
+
+    def _per_target(field):
+        """``--help`` defaults of one flag, read from the bench registry."""
+        takes = [
+            f"{name} {getattr(target, field)}"
+            for name, target in TARGETS.items()
+            if getattr(target, field) is not None
+        ]
+        others = [n for n, t in TARGETS.items() if getattr(t, field) is None]
+        return f"default: {', '.join(takes)}; not taken by {', '.join(others)}"
+
     bench = subparsers.add_parser(
         "bench",
-        help="micro-benchmarks (telemetry overhead, spcache, CSR engine)",
+        help="benchmarks behind the BENCH_*.json artifacts and their gates",
     )
     bench.add_argument(
         "--target",
-        choices=("obs", "spcache", "csr", "appro", "stream-obs", "stream"),
+        choices=tuple(TARGETS),
         default="obs",
-        help=(
-            "what to measure: 'obs' telemetry overhead (default), "
-            "'spcache' cached vs uncached solver, 'csr' compiled vs dict "
-            "Dijkstra engine, 'appro' end-to-end dict-path vs CSR-native "
-            "Appro_Multi (merges into BENCH_csr.json), 'stream-obs' the "
-            "streaming run with histograms + emitter enabled (merges into "
-            "BENCH_obs.json), 'stream' the StreamEngine scale run "
-            "(throughput, RSS flatness, resume + shard differentials)"
-        ),
+        help="what to measure: " + "; ".join(
+            f"'{name}' {target.summary}" for name, target in TARGETS.items()
+        ) + " (default obs)",
     )
     bench.add_argument(
         "--output",
         default=None,
-        help="artifact path (default: BENCH_<target>.json)",
+        help="artifact path (default: " + ", ".join(
+            f"{name} {target.artifact}"
+            + (f"[{target.section!r}]" if target.section else "")
+            for name, target in TARGETS.items()
+        ) + ")",
     )
     bench.add_argument(
         "--requests", type=int, default=None,
-        help=(
-            "batch size for obs/spcache/appro targets (default 40) or "
-            "stream length for stream-obs (default 2000)"
-        ),
+        help=f"batch size or stream length ({_per_target('requests')})",
     )
     bench.add_argument(
         "--rounds", type=int, default=None,
-        help="timing rounds (default: 3, or 7 for --target csr)",
+        help=f"timing rounds ({_per_target('rounds')})",
     )
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="smaller workloads for CI smoke runs (noisier numbers)",
+        help=(
+            "smaller workloads for CI smoke runs, noisier numbers (not "
+            "taken by " + ", ".join(
+                name for name, target in TARGETS.items() if not target.quick
+            ) + ")"
+        ),
     )
 
     stream = subparsers.add_parser(
@@ -523,59 +535,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "bench":
         from repro.obs import bench
 
-        output = args.output or {
-            "appro": "BENCH_csr.json",
-            "stream-obs": "BENCH_obs.json",
-        }.get(args.target, f"BENCH_{args.target}.json")
-        batch = args.requests or bench.DEFAULT_REQUESTS
-        if args.target == "obs":
-            payload = bench.run_obs_benchmark(
-                output_path=output,
-                requests=batch,
-                rounds=args.rounds or bench.DEFAULT_ROUNDS,
+        try:
+            target, _, _ = bench.resolve(
+                args.target, args.requests, args.rounds, args.quick
             )
-            lines = bench.render_bench_summary(payload)
-        elif args.target == "spcache":
-            payload = bench.run_spcache_benchmark(
-                output_path=output,
-                requests=batch,
-                rounds=args.rounds or bench.DEFAULT_ROUNDS,
-                quick=args.quick,
-            )
-            lines = bench.render_speedup_summary(payload)
-        elif args.target == "appro":
-            payload = bench.run_appro_benchmark(
-                output_path=output,
-                requests=batch,
-                rounds=args.rounds or bench.DEFAULT_APPRO_ROUNDS,
-                quick=args.quick,
-            )
-            lines = bench.render_speedup_summary(payload)
-        elif args.target == "stream":
-            from repro.stream import bench as stream_bench
-
-            payload = stream_bench.run_stream_scale_benchmark(
-                output_path=output,
-                requests=args.requests,
-                quick=args.quick,
-            )
-            lines = stream_bench.render_stream_scale_summary(payload)
-        elif args.target == "stream-obs":
-            payload = bench.run_stream_benchmark(
-                output_path=output,
-                requests=args.requests or bench.DEFAULT_STREAM_REQUESTS,
-                rounds=args.rounds or bench.DEFAULT_ROUNDS,
-                quick=args.quick,
-            )
-            lines = bench.render_stream_summary(payload)
-        else:
-            payload = bench.run_csr_benchmark(
-                output_path=output,
-                rounds=args.rounds or bench.DEFAULT_CSR_ROUNDS,
-                quick=args.quick,
-            )
-            lines = bench.render_speedup_summary(payload)
-        for line in lines:
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        output = args.output or target.artifact
+        payload = bench.run(
+            args.target, output, args.requests, args.rounds, args.quick
+        )
+        for line in target.render(payload):
             print(line)
         print(f"wrote {output}")
         return 0

@@ -9,7 +9,8 @@ Two concerns live here:
 - :func:`try_allocate` / :func:`release_tree` — turning a pseudo-multicast
   tree into actual reservations on an :class:`SDNetwork`, transactionally:
   either every link and server reservation succeeds, or nothing is left
-  behind.
+  behind; :func:`install_or_release` then programs the reserved tree into
+  a controller's flow tables, or undoes the reservation if they are full.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import CapacityExceededError
 from repro.network.allocation import AllocationTransaction
+from repro.network.controller import Controller, TableCapacityExceededError
 from repro.network.sdn import SDNetwork
 
 
@@ -93,3 +95,28 @@ def try_allocate(
 def release_tree(transaction: AllocationTransaction) -> None:
     """Release a previously committed tree's resources (request departure)."""
     transaction.release_all()
+
+
+def install_or_release(
+    controller: Optional[Controller],
+    tree: PseudoMulticastTree,
+    transaction: AllocationTransaction,
+) -> bool:
+    """Install an allocated tree's flow rules, or release its reservation.
+
+    The one data-plane step after :func:`try_allocate`, shared by the
+    online algorithms and the capacitated offline runner.  Returns whether
+    the tree is in service: ``True`` with no controller (nothing to
+    program) or once installed; ``False`` if the flow tables cannot hold
+    it, after releasing ``transaction`` so the network is as it was.
+    """
+    if controller is None:
+        return True
+    try:
+        controller.install_tree(
+            tree.request.request_id, tree.routing_hops(), list(tree.servers)
+        )
+    except TableCapacityExceededError:
+        release_tree(transaction)
+        return False
+    return True

@@ -14,11 +14,11 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
-from repro.core.admission import release_tree, try_allocate
+from repro.core.admission import install_or_release, release_tree, try_allocate
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import SimulationError
 from repro.network.allocation import AllocationTransaction
-from repro.network.controller import Controller, TableCapacityExceededError
+from repro.network.controller import Controller
 from repro.network.sdn import SDNetwork
 from repro.obs import inc as _obs_inc, span as _obs_span
 from repro.workload.request import MulticastRequest
@@ -116,18 +116,10 @@ class OnlineAlgorithm(abc.ABC):
                 raise SimulationError(
                     "an admitted decision must carry a tree and a transaction"
                 )
-            if self.controller is not None:
-                try:
-                    self.controller.install_tree(
-                        request.request_id,
-                        decision.tree.routing_hops(),
-                        list(decision.tree.servers),
-                    )
-                except TableCapacityExceededError:
-                    release_tree(decision.transaction)
-                    decision = self._reject(
-                        request, RejectReason.TABLE_CAPACITY
-                    )
+            if not install_or_release(
+                self.controller, decision.tree, decision.transaction
+            ):
+                decision = self._reject(request, RejectReason.TABLE_CAPACITY)
         if decision.admitted:
             self._active[request.request_id] = decision
             self._admitted_total += 1

@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.core.admission import try_allocate
+from repro.core.admission import install_or_release, try_allocate
 from repro.core.appro_multi import DEFAULT_MAX_SERVERS, appro_multi_cap
 from repro.core.online_base import OnlineAlgorithm
 from repro.core.pseudo_tree import PseudoMulticastTree
@@ -43,7 +43,7 @@ from repro.exceptions import CapacityExceededError, InfeasibleRequestError
 from repro.graph.graph import edge_key
 from repro.graph.shortest_paths import dijkstra
 from repro.network.allocation import AllocationTransaction
-from repro.network.controller import Controller, TableCapacityExceededError
+from repro.network.controller import Controller
 from repro.network.sdn import SDNetwork
 from repro.obs import (
     inc as _obs_inc,
@@ -183,17 +183,11 @@ class RepairStrategy(abc.ABC):
             return RepairResult(
                 request.request_id, RepairAction.DROPPED, 0.0, None
             )
-        if context.controller is not None:
-            try:
-                context.controller.install_tree(
-                    request.request_id, tree.routing_hops(), list(tree.servers)
-                )
-            except TableCapacityExceededError:
-                txn.release_all()
-                _obs_inc("resilience.repair.table_capacity")
-                return RepairResult(
-                    request.request_id, RepairAction.DROPPED, 0.0, None
-                )
+        if not install_or_release(context.controller, tree, txn):
+            _obs_inc("resilience.repair.table_capacity")
+            return RepairResult(
+                request.request_id, RepairAction.DROPPED, 0.0, None
+            )
         return RepairResult(
             request_id=request.request_id,
             action=RepairAction.READMITTED,
@@ -375,18 +369,11 @@ class SubtreeGraft(RepairStrategy):
 
         if context.controller is not None:
             context.controller.uninstall(request.request_id)
-            try:
-                context.controller.install_tree(
-                    request.request_id,
-                    new_tree.routing_hops(),
-                    list(new_tree.servers),
-                )
-            except TableCapacityExceededError:
-                # The graft's switches no longer fit; undo everything and
-                # let the caller fall back to a full readmission.
-                adopted.release_all()
-                _obs_inc("resilience.repair.table_capacity")
-                return self._readmit(context, request)
+        if not install_or_release(context.controller, new_tree, adopted):
+            # The graft's switches no longer fit; undo everything and let
+            # the caller fall back to a full readmission.
+            _obs_inc("resilience.repair.table_capacity")
+            return self._readmit(context, request)
         return RepairResult(
             request_id=request.request_id,
             action=RepairAction.GRAFTED,

@@ -34,11 +34,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
-from repro.core.admission import try_allocate
+from repro.core.admission import install_or_release, try_allocate
 from repro.core.online_base import OnlineAlgorithm, RejectReason
 from repro.core.pseudo_tree import PseudoMulticastTree
 from repro.exceptions import InfeasibleRequestError
-from repro.network.controller import Controller, TableCapacityExceededError
+from repro.network.controller import Controller
 from repro.network.sdn import SDNetwork
 from repro.obs import (
     DEFAULT_COST_BOUNDS as _COST_BOUNDS,
@@ -59,6 +59,8 @@ from repro.simulation.metrics import (
     OnlineRunStats,
     ResilienceRunStats,
 )
+from repro.stream.engine import StreamEngine
+from repro.stream.workloads import Arrival, SequenceStream
 from repro.workload.arrivals import EventKind, RequestEvent
 from repro.workload.request import MulticastRequest
 
@@ -137,18 +139,11 @@ def run_sequential_capacitated(
                     _obs_inc("engine.infeasible")
                     stats.runtimes.append(elapsed)
                     continue
-                if controller is not None:
-                    try:
-                        controller.install_tree(
-                            request.request_id, tree.routing_hops(),
-                            list(tree.servers),
-                        )
-                    except TableCapacityExceededError:
-                        transaction.release_all()
-                        stats.infeasible += 1
-                        _obs_inc("engine.infeasible")
-                        stats.runtimes.append(elapsed)
-                        continue
+                if not install_or_release(controller, tree, transaction):
+                    stats.infeasible += 1
+                    _obs_inc("engine.infeasible")
+                    stats.runtimes.append(elapsed)
+                    continue
             stats.solved += 1
             _obs_inc("engine.solved")
             if observing:
@@ -179,11 +174,6 @@ def _fold(
     engine's failure handler.  Every arrival ticks ``emitter`` after its
     latency is recorded, so each flushed snapshot covers whole requests.
     """
-    # Imported here: repro.stream's package init reaches repro.analysis,
-    # whose figure modules import this package.
-    from repro.stream.engine import StreamEngine
-    from repro.stream.workloads import Arrival, SequenceStream
-
     engine = StreamEngine(algorithm, SequenceStream([]), controller=controller)
     network = algorithm.network
     #: request id -> (drop time, destination count) for downtime accounting

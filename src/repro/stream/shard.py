@@ -30,18 +30,18 @@ import hashlib
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.common import (
-    build_random_network,
-    build_real_network,
-    calibrated_online_cp,
-    make_sp_online,
-)
 from repro.core.online_base import OnlineAlgorithm
 from repro.exceptions import SimulationError
 from repro.network.controller import Controller
 from repro.network.sdn import SDNetwork
 from repro.obs.emitter import SnapshotEmitter
 from repro.obs.window import FixedBucketHistogram
+from repro.simulation.builders import (
+    build_random_network,
+    build_real_network,
+    calibrated_online_cp,
+    make_sp_online,
+)
 from repro.simulation.parallel import parallel_map
 from repro.stream.engine import StreamEngine, StreamStats
 from repro.stream.workloads import (

@@ -1,10 +1,11 @@
-"""Regression tests for the atomic admission path (``try_allocate``)."""
+"""Regression tests for the atomic admission path (``try_allocate`` and
+``install_or_release``)."""
 
 import pytest
 
 from repro.core import appro_multi_cap
-from repro.core.admission import try_allocate
-from repro.network import AllocationTransaction
+from repro.core.admission import install_or_release, try_allocate
+from repro.network import AllocationTransaction, Controller
 
 
 def residual_snapshot(network):
@@ -50,3 +51,37 @@ class TestExceptionSafety:
         assert residual_snapshot(small_network) != before
         txn.release_all()
         assert residual_snapshot(small_network) == before
+
+
+class TestInstallOrRelease:
+    def _allocated(self, network, request):
+        tree = appro_multi_cap(network, request, max_servers=2)
+        before = residual_snapshot(network)
+        txn = try_allocate(network, tree)
+        assert txn is not None
+        return tree, txn, before
+
+    def test_without_controller_keeps_the_reservation(
+        self, small_network, request_batch
+    ):
+        tree, txn, before = self._allocated(small_network, request_batch[0])
+        assert install_or_release(None, tree, txn)
+        assert residual_snapshot(small_network) != before
+
+    def test_installs_the_tree(self, small_network, request_batch):
+        tree, txn, _ = self._allocated(small_network, request_batch[0])
+        controller = Controller()
+        assert install_or_release(controller, tree, txn)
+        assert tree.request.request_id in controller.installed_requests
+
+    def test_full_tables_release_the_reservation(
+        self, small_network, request_batch
+    ):
+        controller = Controller(table_capacity=1)
+        # one rule on every switch fills every table
+        nodes = list(small_network.graph.nodes())
+        controller.install_tree("filler", list(zip(nodes, nodes[1:])), [])
+        tree, txn, before = self._allocated(small_network, request_batch[0])
+        assert not install_or_release(controller, tree, txn)
+        assert residual_snapshot(small_network) == before
+        assert controller.installed_requests == ["filler"]

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 
@@ -99,22 +97,3 @@ class TestStreamShards:
 
         assert "200 requests across 2 shards" in first
         assert merged_digest(first) == merged_digest(second)
-
-
-class TestStreamBenchTarget:
-    @pytest.mark.slow
-    def test_quick_bench_writes_artifact(self, tmp_path, capsys):
-        target = str(tmp_path / "bench_stream.json")
-        text = run_cli(
-            capsys,
-            "bench", "--target", "stream", "--quick",
-            "--requests", "200", "--output", target,
-        )
-        payload = json.loads(open(target, encoding="utf-8").read())
-        assert payload["benchmark"] == "stream-scale"
-        assert payload["requests"] == 200
-        assert payload["resume"]["bit_identical"] is True
-        assert payload["shard_invariance"]["bit_identical"] is True
-        assert payload["rss"]["windows"] > 0
-        assert "stream scale: 200 requests" in text
-        assert f"wrote {target}" in text
